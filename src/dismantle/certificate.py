@@ -3,17 +3,23 @@
 A certificate records, for one of the three categories, an ordered list of
 (deleted element, dominating witness) steps together with a digest of the
 object it starts from. Verification replays the steps against that object
-and checks the domination precondition in every residual stage; the replay
-functions live with each category (graphs, posets, complexes).
+and checks the domination precondition in every residual stage.
+
+One engine serves all three categories: the greedy search for a core or a
+dismantling onto a subobject, the replay, and the completion of a bare
+deletion order into a certificate. Each category supplies a ``_Rules``
+value saying what its elements, witnesses and deletions are; weak poset
+mode uses the graph rules on the comparability graph.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .canon import from_jsonable, to_jsonable
-from .errors import InputError
+from .errors import InputError, StaleCertificateError
 
 CATEGORIES = ("graph", "poset", "complex")
 MODES = ("strict", "weak")
@@ -94,3 +100,96 @@ class DismantlingCertificate:
         if isinstance(data, dict) and "certificate" in data:
             data = data["certificate"]  # accept a whole CLI report
         return cls.from_json_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# the dismantling engine
+
+class _Rules(NamedTuple):
+    """How one category dismantles. The functions act on ``lift`` of the
+    start object; ``lower`` turns a residual back into the start object's
+    category. ``holds`` is the replay check for one step and may accept
+    more witnesses than ``witnesses`` lists."""
+
+    category: str
+    mode: str
+    noun: str                  # "vertex" or "element", for error reasons
+    failure: str               # replay reason, formatted with x and a
+    elements: Callable         # obj -> elements in canonical order
+    has: Callable              # (obj, x) -> is x an element of obj
+    witnesses: Callable        # (obj, x) -> witnesses of x, smallest first
+    holds: Callable            # (obj, x, a) -> may x go with witness a
+    delete: Callable           # (obj, x) -> obj without x
+    lift: Callable = lambda start: start
+    lower: Callable = lambda start, residual: residual
+
+
+def _pairs(rules: _Rules, obj, xs):
+    """All (x, witness) pairs for x in xs, smallest witness first."""
+    return [(x, a) for x in xs for a in rules.witnesses(obj, x)]
+
+
+def _greedy(rules: _Rules, start, rng=None, keep=None):
+    """Delete dominated elements until none is left (a core) or, given
+    keep, until only keep is left (onto). Each step takes the first pair,
+    or ``rng.choice`` over all pairs. Returns (residual, certificate); the
+    certificate is None when onto gets stuck before reaching keep."""
+    cur = rules.lift(start)
+    steps = []
+    while True:
+        xs = rules.elements(cur)
+        if keep is not None:
+            xs = [x for x in xs if x not in keep]
+        if rng is None:
+            pair = next(((x, ws[0]) for x in xs
+                         if (ws := rules.witnesses(cur, x))), None)
+        else:
+            pairs = _pairs(rules, cur, xs)
+            pair = rng.choice(pairs) if pairs else None
+        if pair is None:
+            break
+        steps.append(pair)
+        cur = rules.delete(cur, pair[0])
+    residual = rules.lower(start, cur)
+    if keep is not None and xs:  # onto got stuck
+        return residual, None
+    return residual, DismantlingCertificate(
+        rules.category, start.digest(), tuple(steps), rules.mode)
+
+
+def _replay(rules: _Rules, start, cert: DismantlingCertificate):
+    """Returns (ok, failed_step, reason, residual); raises
+    StaleCertificateError when the start digest differs."""
+    if cert.category != rules.category:
+        raise InputError(
+            f"not a {rules.category} certificate: {cert.category}")
+    if cert.start_digest != start.digest():
+        raise StaleCertificateError(
+            f"certificate does not belong to this {rules.category}")
+    cur = rules.lift(start)
+    for i, (x, a) in enumerate(cert.steps):
+        if not (rules.has(cur, x) and rules.has(cur, a)):
+            return (False, i, f"step {i}: {rules.noun} missing from residual",
+                    rules.lower(start, cur))
+        if not rules.holds(cur, x, a):
+            return (False, i, f"step {i}: " + rules.failure.format(x=x, a=a),
+                    rules.lower(start, cur))
+        cur = rules.delete(cur, x)
+    return True, None, None, rules.lower(start, cur)
+
+
+def _derive(rules: _Rules, start, deletion_order):
+    """A certificate with the smallest witness at each step, or None when
+    some deletion has no witness at its turn."""
+    cur = rules.lift(start)
+    steps = []
+    for x in deletion_order:
+        if not rules.has(cur, x):
+            raise InputError(f"unknown {rules.noun}: {x!r}")
+        ws = rules.witnesses(cur, x)
+        if not ws:
+            return None
+        steps.append((x, ws[0]))
+        cur = rules.delete(cur, x)
+    return DismantlingCertificate(rules.category, start.digest(),
+                                  tuple(steps), rules.mode)

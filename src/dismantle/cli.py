@@ -17,7 +17,7 @@ from .certificate import DismantlingCertificate
 from .complexes import (replay_collapse_certificate,
                         strong_collapse_core, strong_collapse_onto)
 from .errors import DismantleError, InputError, ResourceError
-from .formats import parse_complex, parse_graph, parse_poset
+from .formats import parse
 from .functors import FUNCTORS, comp
 from .graphs import (Graph, dismantle_core, dismantles_onto, dominates,
                      find_dominated, fold, is_stiff,
@@ -43,12 +43,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load(category: str, path: str):
-    text = _read(path)
-    return {"graph": parse_graph, "poset": parse_poset,
-            "complex": parse_complex}[category](text)
-
-
 def _category_of(args):
     for cat in ("graph", "poset", "complex"):
         if getattr(args, cat, None):
@@ -62,10 +56,6 @@ def _emit(report: dict, note: str | None = None) -> None:
         print(note, file=sys.stderr)
 
 
-def _cert_json(cert: DismantlingCertificate) -> dict:
-    return cert.to_json_dict()
-
-
 def _parse_ids(spec: str):
     return [parse_token(tok) for tok in spec.split(",") if tok]
 
@@ -75,7 +65,7 @@ def _parse_ids(spec: str):
 
 def _cmd_core(args) -> int:
     cat = _category_of(args)
-    obj = _load(cat, getattr(args, cat)[0])
+    obj = parse(cat, _read(getattr(args, cat)[0]))
     if cat == "graph":
         core, cert = dismantle_core(obj)
     elif cat == "poset":
@@ -83,14 +73,14 @@ def _cmd_core(args) -> int:
     else:
         core, cert = strong_collapse_core(obj)
     _emit({"category": cat, "core": core.to_text(),
-           "certificate": _cert_json(cert)},
+           "certificate": cert.to_json_dict()},
           f"core has {len(cert)} deletion(s)")
     return EXIT_OK
 
 
 def _cmd_onto(args) -> int:
     cat = _category_of(args)
-    obj = _load(cat, getattr(args, cat)[0])
+    obj = parse(cat, _read(getattr(args, cat)[0]))
     keep = _parse_ids(args.keep)
     if cat == "graph":
         cert = dismantles_onto(obj, keep)
@@ -103,14 +93,14 @@ def _cmd_onto(args) -> int:
               "no dismantling onto the requested subobject")
         return EXIT_NO
     _emit({"category": cat, "dismantles": True,
-           "certificate": _cert_json(cert)},
+           "certificate": cert.to_json_dict()},
           f"dismantles in {len(cert)} step(s)")
     return EXIT_OK
 
 
 def _cmd_equiv(args) -> int:
-    g = _load("graph", args.graph[0])
-    h = _load("graph", args.graph[1])
+    g = parse("graph", _read(args.graph[0]))
+    h = parse("graph", _read(args.graph[1]))
     equivalent = same_d_homotopy_type(g, h, max_nodes=args.max_iso_nodes)
     report = {"equivalent": equivalent}
     if not equivalent:
@@ -134,7 +124,7 @@ def _cmd_functor(args) -> int:
                          f"choose from {sorted(FUNCTORS)}")
     expected, fn = FUNCTORS[name]
     cat = _category_of(args)
-    obj = _load(cat, getattr(args, cat)[0])
+    obj = parse(cat, _read(getattr(args, cat)[0]))
     if expected is not object and not isinstance(obj, expected):
         raise InputError(f"functor {name} expects a "
                          f"{expected.__name__.lower()} input")
@@ -149,8 +139,8 @@ def _cmd_functor(args) -> int:
 
 
 def _cmd_hom_graph(args) -> int:
-    g = _load("graph", args.graph[0])
-    h = _load("graph", args.graph[1])
+    g = parse("graph", _read(args.graph[0]))
+    h = parse("graph", _read(args.graph[1]))
     hg = hom_graph(g, h, max_extensions=args.max_morphisms)
     _emit({"morphisms": len(hg), "output": hg.to_text()},
           f"{len(hg)} morphism(s)")
@@ -158,8 +148,8 @@ def _cmd_hom_graph(args) -> int:
 
 
 def _cmd_hom_complex(args) -> int:
-    g = _load("graph", args.graph[0])
-    h = _load("graph", args.graph[1])
+    g = parse("graph", _read(args.graph[0]))
+    h = parse("graph", _read(args.graph[1]))
     p = hom_face_poset(g, h, max_extensions=args.max_morphisms,
                        max_cliques=args.max_cliques)
     _emit({"cells": len(p), "output": p.to_text()},
@@ -168,19 +158,19 @@ def _cmd_hom_complex(args) -> int:
 
 
 def _cmd_hom_dismantle(args) -> int:
-    g = _load("graph", args.graph[0])
-    h = _load("graph", args.graph[1])
+    g = parse("graph", _read(args.graph[0]))
+    h = parse("graph", _read(args.graph[1]))
     cert = fold_induced_hom_dismantle(
         g, h, args.side, parse_token(args.deleted), parse_token(args.witness),
         max_extensions=args.max_morphisms, max_cliques=args.max_cliques)
-    _emit({"side": args.side, "certificate": _cert_json(cert)},
+    _emit({"side": args.side, "certificate": cert.to_json_dict()},
           f"{len(cert)} deletion(s)")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     cat = _category_of(args)
-    obj = _load(cat, getattr(args, cat)[0])
+    obj = parse(cat, _read(getattr(args, cat)[0]))
     cert = DismantlingCertificate.from_json(_read(args.certificate))
     replay = {"graph": replay_certificate,
               "poset": replay_poset_certificate,

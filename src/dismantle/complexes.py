@@ -8,12 +8,11 @@ vertex is the apex), the empty complex does not.
 from __future__ import annotations
 
 import itertools
-import threading
 
 from .canon import digest_text, label, sort_key, sorted_ids
-from .certificate import DismantlingCertificate
-from .errors import (DominationError, InputError, StaleCertificateError,
-                     ValidationError)
+from .certificate import (DismantlingCertificate, _derive, _greedy, _pairs,
+                          _replay, _Rules)
+from .errors import DominationError, InputError, ValidationError
 
 
 def _canon_simplex(s):
@@ -36,7 +35,7 @@ class SimplicialComplex:
     7
     """
 
-    __slots__ = ("_facets", "_vertices", "_simplices", "_lock", "_digest")
+    __slots__ = ("_facets", "_vertices", "_simplices", "_digest")
 
     def __init__(self, facets=()):
         fs = sorted({_canon_simplex(f) for f in facets},
@@ -51,7 +50,6 @@ class SimplicialComplex:
         self._facets = tuple(fs)
         self._vertices = sorted_ids({v for f in fs for v in f})
         self._simplices = None
-        self._lock = threading.Lock()
         self._digest = None
 
     @classmethod
@@ -90,14 +88,12 @@ class SimplicialComplex:
     def simplices(self) -> tuple:
         """All nonempty simplices, ordered by dimension then lexicographic."""
         if self._simplices is None:
-            with self._lock:
-                if self._simplices is None:
-                    acc = set()
-                    for f in self._facets:
-                        for r in range(1, len(f) + 1):
-                            acc.update(itertools.combinations(f, r))
-                    self._simplices = tuple(
-                        sorted(acc, key=lambda s: (len(s), sort_key(s))))
+            acc = set()
+            for f in self._facets:
+                for r in range(1, len(f) + 1):
+                    acc.update(itertools.combinations(f, r))
+            self._simplices = tuple(
+                sorted(acc, key=lambda s: (len(s), sort_key(s))))
         return self._simplices
 
     def has_simplex(self, s) -> bool:
@@ -170,28 +166,24 @@ class SimplicialComplex:
 # ---------------------------------------------------------------------------
 # domination and strong collapses
 
+_RULES = _Rules(
+    "complex", "strict", "vertex",
+    "link of {x!r} is not a cone with apex {a!r}",
+    elements=lambda k: k.vertices,
+    has=lambda k, x: x in k.vertex_set,
+    witnesses=lambda k, x: k.link(x).cone_apexes(),
+    holds=lambda k, x, a: a in k.link(x).cone_apexes(),
+    delete=lambda k, x: k.delete(x))
+
+
 def dominated_vertices(k: SimplicialComplex):
     """All pairs (x, a) where the link of x is a cone with apex a."""
-    out = []
-    for x in k.vertices:
-        for a in k.link(x).cone_apexes():
-            out.append((x, a))
-    return out
+    return _pairs(_RULES, k, k.vertices)
 
 
 def strong_collapse_core(k: SimplicialComplex, rng=None):
     """Greedy deletion of dominated vertices down to a minimal complex."""
-    steps = []
-    cur = k
-    while True:
-        pairs = dominated_vertices(cur)
-        if not pairs:
-            break
-        x, a = rng.choice(pairs) if rng is not None else pairs[0]
-        steps.append((x, a))
-        cur = cur.delete(x)
-    cert = DismantlingCertificate("complex", k.digest(), tuple(steps))
-    return cur, cert
+    return _greedy(_RULES, k, rng)
 
 
 def strong_collapse_onto(k: SimplicialComplex, sub: SimplicialComplex,
@@ -203,17 +195,7 @@ def strong_collapse_onto(k: SimplicialComplex, sub: SimplicialComplex,
     if not target <= k.vertex_set or k.restrict(target) != sub:
         raise InputError("target is not an induced vertex-deletion "
                          "subcomplex")
-    steps = []
-    cur = k
-    while cur.vertex_set != target:
-        pairs = [(x, a) for x, a in dominated_vertices(cur)
-                 if x not in target]
-        if not pairs:
-            return None
-        x, a = rng.choice(pairs) if rng is not None else pairs[0]
-        steps.append((x, a))
-        cur = cur.delete(x)
-    return DismantlingCertificate("complex", k.digest(), tuple(steps))
+    return _greedy(_RULES, k, rng, target)[1]
 
 
 def star_deletion_order(k: SimplicialComplex, x, a):
@@ -226,8 +208,7 @@ def star_deletion_order(k: SimplicialComplex, x, a):
     (simplex, witness) pairs; replayed in the face graph they form a valid
     dismantling onto the face graph of k minus x.
     """
-    k._require_vertex(x)
-    if a not in [w for v, w in dominated_vertices(k) if v == x]:
+    if not _RULES.holds(k, x, a):
         raise DominationError(f"{x!r} is not dominated by {a!r}")
     star = k.open_star(x)
     gamma_plain = sorted((s for s in star if a not in s),
@@ -246,22 +227,7 @@ def replay_collapse_certificate(k: SimplicialComplex,
                                 cert: DismantlingCertificate):
     """Replay a strong-collapse certificate. Returns (ok, failed_step,
     reason, residual)."""
-    if cert.category != "complex":
-        raise InputError(f"not a complex certificate: {cert.category}")
-    if cert.start_digest != k.digest():
-        raise StaleCertificateError(
-            "certificate does not belong to this complex")
-    cur = k
-    for i, (x, a) in enumerate(cert.steps):
-        vset = cur.vertex_set
-        if x not in vset or a not in vset:
-            return False, i, f"step {i}: vertex missing from residual", cur
-        if a not in cur.link(x).cone_apexes():
-            return (False, i,
-                    f"step {i}: link of {x!r} is not a cone with apex {a!r}",
-                    cur)
-        cur = cur.delete(x)
-    return True, None, None, cur
+    return _replay(_RULES, k, cert)
 
 
 def verify_collapse_certificate(k: SimplicialComplex,
@@ -273,13 +239,4 @@ def verify_collapse_certificate(k: SimplicialComplex,
 def derive_collapse_certificate(k: SimplicialComplex, deletion_order):
     """Complete a bare vertex deletion order into a collapse certificate
     (smallest apex at each step), or None when a step is illegal."""
-    cur = k
-    steps = []
-    for x in deletion_order:
-        cur._require_vertex(x)
-        apexes = cur.link(x).cone_apexes()
-        if not apexes:
-            return None
-        steps.append((x, apexes[0]))
-        cur = cur.delete(x)
-    return DismantlingCertificate("complex", k.digest(), tuple(steps))
+    return _derive(_RULES, k, deletion_order)

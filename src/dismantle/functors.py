@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from .canon import sort_key, sorted_ids
 from .certificate import DismantlingCertificate
-from .complexes import SimplicialComplex, star_deletion_order
-from .errors import InputError
+from .complexes import (SimplicialComplex, derive_collapse_certificate,
+                        star_deletion_order)
+from .errors import InputError, InternalConsistencyError
 from .graphs import (DEFAULT_CLIQUE_BUDGET, Graph, cliques, maximal_cliques,
                      replay_certificate)
 from .posets import Poset, fixpoint_dismantle, replay_poset_certificate
@@ -210,18 +211,8 @@ def collapse_cert_from_face_graph_cert(k: SimplicialComplex,
         raise InputError("expected a graph certificate")
     if cert.start_digest != face_graph(k).digest():
         raise InputError("certificate does not match the face graph")
-    steps = []
-    cur = k
-    for s, _ in cert.steps:
-        if len(s) != 1:
-            continue
-        x = s[0]
-        apexes = cur.link(x).cone_apexes()
-        if not apexes:
-            return None
-        steps.append((x, apexes[0]))
-        cur = cur.delete(x)
-    return DismantlingCertificate("complex", k.digest(), tuple(steps))
+    return derive_collapse_certificate(
+        k, [s[0] for s, _ in cert.steps if len(s) == 1])
 
 
 def clique_poset_cert_from_graph_cert(g: Graph,
@@ -260,5 +251,8 @@ def clique_poset_cert_from_graph_cert(g: Graph,
         cur_graph = cur_graph.without(x)
     out = DismantlingCertificate("poset", start.digest(), tuple(steps))
     ok, _, reason, residual = replay_poset_certificate(start, out)
-    assert ok and residual == clique_poset(cur_graph), reason
+    if not ok or residual != clique_poset(cur_graph):
+        raise InternalConsistencyError(
+            f"clique poset certificate does not replay: "
+            f"{reason or 'wrong residual'}")
     return out

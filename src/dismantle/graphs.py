@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 
 from .canon import digest_text, label, sort_key, sorted_ids
-from .certificate import DismantlingCertificate
-from .errors import (DominationError, InputError, ResourceError,
-                     StaleCertificateError)
+from .certificate import (DismantlingCertificate, _derive, _greedy, _pairs,
+                          _replay, _Rules)
+from .errors import DominationError, InputError, ResourceError
 
 DEFAULT_ISO_BUDGET = 10**6
 DEFAULT_CLIQUE_BUDGET = 10**6
@@ -215,12 +215,25 @@ def dominates(g: Graph, a, x) -> bool:
     return g.neighborhood(x) <= g.neighborhood(a)
 
 
+def _witnesses(g: Graph, x):
+    adj = g._adj
+    nx = adj[x]
+    return [a for a in g._vertices if a != x and nx <= adj[a]]
+
+
+_RULES = _Rules(
+    "graph", "strict", "vertex", "{x!r} not dominated by {a!r}",
+    elements=lambda g: g.vertices,
+    has=lambda g, x: x in g,
+    witnesses=_witnesses,
+    holds=lambda g, x, a: g._adj[x] <= g._adj[a],
+    delete=lambda g, x: g.without(x))
+
+
 def find_dominated(g: Graph):
     """All (x, a) pairs with a dominating x, ascending in x then a.
     Empty exactly when the graph is stiff."""
-    verts = g.vertices
-    return [(x, a) for x in verts for a in verts
-            if a != x and g.neighborhood(x) <= g.neighborhood(a)]
+    return _pairs(_RULES, g, g.vertices)
 
 
 def is_stiff(g: Graph) -> bool:
@@ -242,17 +255,7 @@ def dismantle_core(g: Graph, rng=None):
     smallest witness; pass an rng to randomize the tie-breaking (the core
     is the same up to isomorphism either way).
     """
-    steps = []
-    cur = g
-    while True:
-        pairs = find_dominated(cur)
-        if not pairs:
-            break
-        x, a = rng.choice(pairs) if rng is not None else pairs[0]
-        steps.append((x, a))
-        cur = cur.without(x)
-    cert = DismantlingCertificate("graph", g.digest(), tuple(steps))
-    return cur, cert
+    return _greedy(_RULES, g, rng)
 
 
 def dismantles_onto(g: Graph, target_vertices, rng=None):
@@ -265,18 +268,8 @@ def dismantles_onto(g: Graph, target_vertices, rng=None):
     dominated vertices at all, None is the answer, not an error.)
     """
     target = frozenset(target_vertices)
-    for v in target:
-        g._require(v)
-    steps = []
-    cur = g
-    while cur.vertex_set != target:
-        pairs = [(x, a) for x, a in find_dominated(cur) if x not in target]
-        if not pairs:
-            return None
-        x, a = rng.choice(pairs) if rng is not None else pairs[0]
-        steps.append((x, a))
-        cur = cur.without(x)
-    return DismantlingCertificate("graph", g.digest(), tuple(steps))
+    g._require(*target)
+    return _greedy(_RULES, g, rng, target)[1]
 
 
 def reflexive_closure(g: Graph) -> Graph:
@@ -360,19 +353,7 @@ def replay_certificate(g: Graph, cert: DismantlingCertificate):
     """Replay a graph certificate. Returns (ok, failed_step, reason,
     residual); raises StaleCertificateError when the start digest differs.
     """
-    if cert.category != "graph":
-        raise InputError(f"not a graph certificate: {cert.category}")
-    if cert.start_digest != g.digest():
-        raise StaleCertificateError(
-            "certificate does not belong to this graph")
-    cur = g
-    for i, (x, a) in enumerate(cert.steps):
-        if x not in cur or a not in cur:
-            return False, i, f"step {i}: vertex missing from residual", cur
-        if not (cur.neighborhood(x) <= cur.neighborhood(a)):
-            return False, i, f"step {i}: {x!r} not dominated by {a!r}", cur
-        cur = cur.without(x)
-    return True, None, None, cur
+    return _replay(_RULES, g, cert)
 
 
 def verify_certificate(g: Graph, cert: DismantlingCertificate) -> bool:
@@ -385,16 +366,7 @@ def derive_graph_certificate(g: Graph, deletion_order):
     """Turn a bare deletion order into a full certificate by picking the
     smallest dominating witness at each step; None when some deletion has
     no witness at its turn."""
-    cur = g
-    steps = []
-    for x in deletion_order:
-        cur._require(x)
-        witnesses = [a for y, a in find_dominated(cur) if y == x]
-        if not witnesses:
-            return None
-        steps.append((x, witnesses[0]))
-        cur = cur.without(x)
-    return DismantlingCertificate("graph", g.digest(), tuple(steps))
+    return _derive(_RULES, g, deletion_order)
 
 
 # ---------------------------------------------------------------------------

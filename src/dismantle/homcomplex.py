@@ -18,7 +18,8 @@ from .canon import sort_key, sorted_ids
 from .certificate import DismantlingCertificate
 from .errors import InputError, InternalConsistencyError
 from .functors import clique_poset, comp
-from .graphs import (DEFAULT_CLIQUE_BUDGET, Graph, dismantles_onto, dominates)
+from .graphs import (DEFAULT_CLIQUE_BUDGET, Graph, cliques, dismantles_onto,
+                     dominates)
 from .homgraph import (DEFAULT_MORPHISM_BUDGET, Morphism, _key_for_name,
                        _value_for_name, enumerate_morphisms, hom_graph,
                        morphisms_adjacent)
@@ -124,9 +125,8 @@ def hom_cells(g: Graph, h: Graph,
     ms = enumerate_morphisms(g, h, max_extensions=max_extensions)
     by_name = {m.name: m for m in ms}
     hg = hom_graph(g, h, max_extensions=max_extensions)
-    from .graphs import cliques as _cliques
     seen = {}
-    for c in _cliques(hg, max_count=max_cliques):
+    for c in cliques(hg, max_count=max_cliques):
         cell = phi(g, h, [by_name[n] for n in c])
         seen.setdefault(cell.name, cell)
     return [seen[n] for n in sorted(seen, key=sort_key)]

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import digest_text, label, sort_key, sorted_ids
-from .certificate import DismantlingCertificate
-from .errors import (InputError, PreconditionError, StaleCertificateError,
-                     ValidationError)
+from .certificate import (DismantlingCertificate, _derive, _greedy, _pairs,
+                          _replay, _Rules)
+from .errors import InputError, PreconditionError, ValidationError
+from .graphs import _RULES as _GRAPH_RULES
 
 
 class Poset:
@@ -207,22 +208,48 @@ class MonotoneMap:
 # ---------------------------------------------------------------------------
 # dismantlable elements
 
+def _strict_witnesses(p: Poset, x):
+    """The least element of the strict up-set of x, else the greatest of
+    its strict down-set, as a list of at most one witness."""
+    a = p.least(p.up_set(x))
+    if a is None:
+        a = p.greatest(p.down_set(x))
+    return [] if a is None else [a]
+
+
+def _comp(p: Poset):
+    from .functors import comp  # functors imports this module
+    return comp(p)
+
+
+_STRICT_RULES = _Rules(
+    "poset", "strict", "element", "{x!r} not strictly dominated by {a!r}",
+    elements=lambda p: p.elements,
+    has=lambda p, x: x in p,
+    witnesses=_strict_witnesses,
+    holds=lambda p, x, a: (p.least(p.up_set(x)) == a
+                           or p.greatest(p.down_set(x)) == a),
+    delete=lambda p, x: p.without(x))
+
+# a weak deletion is a domination in the comparability graph
+_WEAK_RULES = _GRAPH_RULES._replace(
+    category="poset", mode="weak", noun="element",
+    failure="{x!r} not weakly dominated by {a!r}",
+    lift=_comp, lower=lambda p, g: p.restrict(g.vertices))
+
+
+def _rules(mode: str) -> _Rules:
+    if mode not in ("strict", "weak"):
+        raise InputError(f"unknown mode: {mode!r}")
+    return _STRICT_RULES if mode == "strict" else _WEAK_RULES
+
+
 def dismantlable_elements(p: Poset):
     """Triples (x, witness, direction). Direction "up" means the strict
     up-set of x has the witness as least element, "down" the dual; when both
     apply the up witness is the one reported."""
-    out = []
-    for x in p.elements:
-        up = p.up_set(x)
-        a = p.least(up) if up else None
-        if a is not None:
-            out.append((x, a, "up"))
-            continue
-        down = p.down_set(x)
-        a = p.greatest(down) if down else None
-        if a is not None:
-            out.append((x, a, "down"))
-    return out
+    return [(x, a, "up" if p.lt(x, a) else "down")
+            for x, a in _pairs(_STRICT_RULES, p, p.elements)]
 
 
 def weakly_dominates(p: Poset, a, x) -> bool:
@@ -235,28 +262,12 @@ def weakly_dominates(p: Poset, a, x) -> bool:
 
 def weakly_dismantlable_elements(p: Poset):
     """All pairs (x, a) with a weakly dominating x, ascending in x then a."""
-    els = p.elements
-    return [(x, a) for x in els for a in els if weakly_dominates(p, a, x)]
+    return _pairs(_WEAK_RULES, _comp(p), p.elements)
 
 
 def poset_core(p: Poset, mode: str = "strict", rng=None):
     """Greedily delete (weakly) dismantlable elements until none remain."""
-    if mode not in ("strict", "weak"):
-        raise InputError(f"unknown mode: {mode!r}")
-    steps = []
-    cur = p
-    while True:
-        if mode == "strict":
-            cands = [(x, a) for x, a, _ in dismantlable_elements(cur)]
-        else:
-            cands = weakly_dismantlable_elements(cur)
-        if not cands:
-            break
-        x, a = rng.choice(cands) if rng is not None else cands[0]
-        steps.append((x, a))
-        cur = cur.without(x)
-    cert = DismantlingCertificate("poset", p.digest(), tuple(steps), mode)
-    return cur, cert
+    return _greedy(_rules(mode), p, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -304,36 +315,10 @@ def fixpoint_dismantle(p: Poset, f) -> DismantlingCertificate:
 # ---------------------------------------------------------------------------
 # certificate replay
 
-def _strict_witness_ok(cur: Poset, x, a) -> bool:
-    up = cur.up_set(x)
-    if up and cur.least(up) == a:
-        return True
-    down = cur.down_set(x)
-    return bool(down) and cur.greatest(down) == a
-
-
 def replay_poset_certificate(p: Poset, cert: DismantlingCertificate):
     """Replay a poset certificate in its mode. Returns (ok, failed_step,
     reason, residual)."""
-    if cert.category != "poset":
-        raise InputError(f"not a poset certificate: {cert.category}")
-    if cert.start_digest != p.digest():
-        raise StaleCertificateError(
-            "certificate does not belong to this poset")
-    cur = p
-    for i, (x, a) in enumerate(cert.steps):
-        if x not in cur or a not in cur:
-            return False, i, f"step {i}: element missing from residual", cur
-        if cert.mode == "strict":
-            ok = _strict_witness_ok(cur, x, a)
-        else:
-            ok = weakly_dominates(cur, a, x)
-        if not ok:
-            return (False, i,
-                    f"step {i}: {x!r} not {cert.mode}ly dominated by {a!r}",
-                    cur)
-        cur = cur.without(x)
-    return True, None, None, cur
+    return _replay(_rules(cert.mode), p, cert)
 
 
 def verify_poset_certificate(p: Poset, cert: DismantlingCertificate) -> bool:
@@ -345,24 +330,4 @@ def derive_poset_certificate(p: Poset, deletion_order, mode: str = "strict"):
     """Complete a bare deletion order into a certificate by choosing a legal
     witness at each step (up-set witness preferred, then down-set; smallest
     weak dominator in weak mode); None when some step is illegal."""
-    cur = p
-    steps = []
-    for x in deletion_order:
-        cur._require(x)
-        a = None
-        if mode == "strict":
-            up = cur.up_set(x)
-            a = cur.least(up) if up else None
-            if a is None:
-                down = cur.down_set(x)
-                a = cur.greatest(down) if down else None
-        else:
-            for cand in cur.elements:
-                if weakly_dominates(cur, cand, x):
-                    a = cand
-                    break
-        if a is None:
-            return None
-        steps.append((x, a))
-        cur = cur.without(x)
-    return DismantlingCertificate("poset", p.digest(), tuple(steps), mode)
+    return _derive(_rules(mode), p, deletion_order)

@@ -114,3 +114,109 @@ def all_labeled_posets(n):
                             new_orders.append(rel | extra)
         orders = new_orders
     return orders
+
+
+def transitive_closure(elements, pairs):
+    """The strict order generated by raw (x, y) pairs meaning x < y."""
+    rel = set(pairs)
+    for k in elements:
+        for i in elements:
+            for j in elements:
+                if (i, k) in rel and (k, j) in rel:
+                    rel.add((i, j))
+    return rel
+
+
+def maximal_sets(sets):
+    """The nonempty members of a family not contained in another member."""
+    sets = {frozenset(s) for s in sets if s}
+    return {s for s in sets if not any(s < t for t in sets)}
+
+
+# Raw dismantling rules. Each takes the current element set and the raw
+# structure on it and returns every (x, witness) pair in ascending order;
+# the matching restrict function cuts the structure down to fewer elements.
+
+def graph_pairs(elements, edges):
+    return dominated_pairs(sorted(elements), edges)
+
+
+def restrict_edges(elements, edges):
+    return [(u, v) for u, v in edges if u in elements and v in elements]
+
+
+def strict_poset_pairs(elements, rel):
+    """The least element of the up-set of x, else the greatest of its
+    down-set (at most one witness per x)."""
+    out = []
+    for x in sorted(elements):
+        up = [y for y in elements if (x, y) in rel]
+        down = [y for y in elements if (y, x) in rel]
+        least = [a for a in up if all((a, y) in rel for y in up if y != a)]
+        greatest = [a for a in down
+                    if all((y, a) in rel for y in down if y != a)]
+        if least or greatest:
+            out.append((x, (least or greatest)[0]))
+    return out
+
+
+def weak_poset_pairs(elements, rel):
+    """a weakly dominates x: a is comparable to x and to everything
+    comparable to x."""
+    def comparable(u, v):
+        return u == v or (u, v) in rel or (v, u) in rel
+    return [(x, a) for x in sorted(elements) for a in sorted(elements)
+            if a != x and comparable(a, x)
+            and all(comparable(a, y) for y in elements if comparable(x, y))]
+
+
+def restrict_order(elements, rel):
+    return {(x, y) for x, y in rel if x in elements and y in elements}
+
+
+def complex_pairs(elements, facets):
+    """x is dominated by every apex of its link, the family of facets
+    through x with x removed."""
+    return [(x, a) for x in sorted(elements)
+            for a in sorted(is_cone_apexes(
+                [set(f) - {x} for f in facets if x in f]))]
+
+
+def restrict_facets(elements, facets):
+    return maximal_sets(set(f) & set(elements) for f in facets)
+
+
+def greedy_dismantle(elements, data, pairs, restrict, rng=None, keep=None):
+    """Reference greedy loop: delete the smallest dominated element with its
+    smallest witness, or rng.choice over all pairs; with keep, only
+    elements outside keep go, until keep is left. Returns (steps,
+    remaining elements), or None when keep is given and not reached."""
+    elements = set(elements)
+    steps = []
+    while keep is None or elements - set(keep):
+        cands = [(x, a) for x, a in pairs(elements, data)
+                 if keep is None or x not in keep]
+        if not cands:
+            if keep is not None:
+                return None
+            break
+        x, a = rng.choice(cands) if rng is not None else cands[0]
+        steps.append((x, a))
+        elements.discard(x)
+        data = restrict(elements, data)
+    return steps, elements
+
+
+def first_witnesses(elements, data, pairs, restrict, order):
+    """The smallest witness of each deletion of order at its turn (None
+    where there is none, after which the order is not followed)."""
+    elements = set(elements)
+    out = []
+    for x in order:
+        ws = [a for y, a in pairs(elements, data) if y == x]
+        out.append(ws[0] if ws else None)
+        if not ws:
+            break
+        elements.discard(x)
+        data = restrict(elements, data)
+    return out

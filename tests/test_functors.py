@@ -11,6 +11,7 @@ from dismantle import (Graph, Poset, SimplicialComplex, atoms_graph, bd,
                        cycle_graph, dismantle_core, dismantles_onto, face_graph, face_poset,
                        face_graph_cert_from_collapse_cert, find_dominated,
                        graph_cert_from_collapse_cert,
+                       InternalConsistencyError,
                        identify_atoms_with_vertices, order_complex,
                        path_graph, poset_core, reflexive_closure,
                        replay_certificate, replay_collapse_certificate,
@@ -170,6 +171,19 @@ def test_graph_fold_transports_to_clique_poset():
             clique_poset(g), pcert)
         assert ok, reason
         assert residual == clique_poset(core)
+
+
+@pytest.mark.parametrize("replay", [
+    lambda p, cert: (False, 0, "step 0: forced failure", p),
+    lambda p, cert: (True, None, None, p)],  # residual is not the core's
+    ids=["failed-step", "wrong-residual"])
+def test_clique_poset_transport_checks_its_own_replay(monkeypatch, replay):
+    import dismantle.functors as functors
+    g = path_graph(3, reflexive=True)
+    _, cert = dismantle_core(g)
+    monkeypatch.setattr(functors, "replay_poset_certificate", replay)
+    with pytest.raises(InternalConsistencyError):
+        clique_poset_cert_from_graph_cert(g, cert)
 
 
 def test_collapse_transports_to_face_graph_and_back():

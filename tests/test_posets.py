@@ -7,7 +7,7 @@ from dismantle import (InputError, MonotoneMap, Poset, PreconditionError,
                        derive_poset_certificate, dismantlable_elements,
                        dominates, fixpoint_dismantle, poset_core,
                        replay_poset_certificate, verify_poset_certificate,
-                       weakly_dismantlable_elements)
+                       weakly_dismantlable_elements, weakly_dominates)
 from generators import random_poset
 from oracles import all_labeled_posets
 
@@ -122,7 +122,8 @@ def test_pointwise_bridge_weak_equals_comp_domination_exhaustive():
         for rel in all_labeled_posets(n):
             p = Poset(range(n), rel)
             cg = comp(p)
-            weak = set(weakly_dismantlable_elements(p))
+            weak = {(x, a) for x in p.elements for a in p.elements
+                    if weakly_dominates(p, a, x)}
             graph_pairs = {(x, a) for x in p.elements for a in p.elements
                            if a != x and dominates(cg, a, x)}
             assert weak == graph_pairs, rel
