@@ -35,7 +35,8 @@ class SimplicialComplex:
     7
     """
 
-    __slots__ = ("_facets", "_vertices", "_simplices", "_digest")
+    __slots__ = ("_facets", "_vertices", "_vertex_set", "_simplices",
+                 "_digest")
 
     def __init__(self, facets=()):
         fs = sorted({_canon_simplex(f) for f in facets},
@@ -49,6 +50,7 @@ class SimplicialComplex:
                     f"facets are not an antichain: {a!r} and {b!r}")
         self._facets = tuple(fs)
         self._vertices = sorted_ids({v for f in fs for v in f})
+        self._vertex_set = frozenset(self._vertices)
         self._simplices = None
         self._digest = None
 
@@ -73,7 +75,7 @@ class SimplicialComplex:
 
     @property
     def vertex_set(self) -> frozenset:
-        return frozenset(self._vertices)
+        return self._vertex_set
 
     def __len__(self):
         return len(self.simplices())
@@ -82,7 +84,7 @@ class SimplicialComplex:
         return bool(self._facets)
 
     def _require_vertex(self, x):
-        if x not in set(self._vertices):
+        if x not in self._vertex_set:
             raise InputError(f"unknown vertex: {x!r}")
 
     def simplices(self) -> tuple:

@@ -106,12 +106,16 @@ class Graph:
         return out
 
     def induced(self, keep) -> "Graph":
+        """The induced subgraph on keep, cut from this graph's sorted
+        vertices and neighborhoods without rebuilding them."""
         keep = frozenset(keep)
         for v in keep:
             self._require(v)
-        return Graph(keep,
-                     edges=[(u, v) for u in keep for v in self._adj[u]
-                            if v in keep])
+        sub = Graph.__new__(Graph)
+        sub._vertices = tuple(v for v in self._vertices if v in keep)
+        sub._adj = {v: self._adj[v] & keep for v in sub._vertices}
+        sub._digest = None
+        return sub
 
     def without(self, *xs) -> "Graph":
         for x in xs:

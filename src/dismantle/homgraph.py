@@ -140,18 +140,23 @@ def _check_pair(g: Graph, h: Graph, f: Morphism, f2: Morphism):
         raise InputError("second morphism does not match the given graphs")
 
 
+def _arcs(g: Graph):
+    """The arcs of g: every edge in both orientations, then every loop."""
+    edges = g.edges()
+    return edges + [(v, u) for u, v in edges] + [(v, v) for v in g.loops]
+
+
+def _adjacent(h: Graph, arcs, fm: dict, f2m: dict) -> bool:
+    """True iff fm(u) ~ f2m(v) in h for every arc (u, v)."""
+    adj = h._adj
+    return all(f2m[v] in adj[fm[u]] for u, v in arcs)
+
+
 def morphisms_adjacent(g: Graph, h: Graph, f: Morphism, f2: Morphism) -> bool:
     """True iff f(x) ~ f2(y) in h for every adjacent x ~ y of g (loops
     included, both orientations of each edge)."""
     _check_pair(g, h, f, f2)
-    fm, f2m = f.mapping, f2.mapping
-    for u, v in g.edges():
-        if not h.adjacent(fm[u], f2m[v]) or not h.adjacent(fm[v], f2m[u]):
-            return False
-    for v in g.loops:
-        if not h.adjacent(fm[v], f2m[v]):
-            return False
-    return True
+    return _adjacent(h, _arcs(g), f.mapping, f2.mapping)
 
 
 def hom_graph(g: Graph, h: Graph,
@@ -160,11 +165,11 @@ def hom_graph(g: Graph, h: Graph,
     named by the morphisms' canonical JSON form."""
     ms = enumerate_morphisms(g, h, max_extensions=max_extensions)
     names = [m.name for m in ms]
-    edges = []
-    for i, m in enumerate(ms):
-        for j in range(i + 1, len(ms)):
-            if morphisms_adjacent(g, h, m, ms[j]):
-                edges.append((names[i], names[j]))
+    maps = [m.mapping for m in ms]
+    arcs = _arcs(g)
+    edges = [(names[i], names[j])
+             for i in range(len(ms)) for j in range(i + 1, len(ms))
+             if _adjacent(h, arcs, maps[i], maps[j])]
     return Graph(names, edges=edges, loops=names)
 
 

@@ -141,11 +141,18 @@ class Poset:
         return out
 
     def restrict(self, keep) -> "Poset":
+        """The subposet on keep. A strict order restricted to a subset is
+        still transitively closed, so its up- and down-sets are cut, not
+        recomputed."""
         keep = frozenset(keep)
         for x in keep:
             self._require(x)
-        return Poset(keep, [(x, y) for x in keep for y in self._above[x]
-                            if y in keep])
+        sub = Poset.__new__(Poset)
+        sub._elements = tuple(x for x in self._elements if x in keep)
+        sub._above = {x: self._above[x] & keep for x in sub._elements}
+        sub._below = {x: self._below[x] & keep for x in sub._elements}
+        sub._digest = None
+        return sub
 
     def without(self, *xs) -> "Poset":
         for x in xs:

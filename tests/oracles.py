@@ -70,6 +70,23 @@ def all_cells(g_vertices, g_edges, h_vertices, h_edges):
     return out
 
 
+def clique_route_cells(g_vertices, g_edges, h_vertices, h_edges):
+    """All indexing functions by the clique route, as canonical tuples of
+    frozensets: every clique of the raw morphism graph, collapsed pointwise.
+
+    Two maps f, f' are adjacent when f(u) ~ f'(v) and f(v) ~ f'(u) for every
+    source edge or loop (u, v). Visits every subset of the morphisms.
+    """
+    nb = neighborhoods(h_vertices, h_edges)
+    ms = all_morphisms(g_vertices, g_edges, h_vertices, h_edges)
+    arcs = list(g_edges) + [(v, u) for u, v in g_edges]
+    adjacent = [(i, j) for i, j in itertools.combinations(range(len(ms)), 2)
+                if all(ms[j][v] in nb[ms[i][u]] for u, v in arcs)]
+    gv = list(g_vertices)
+    return {tuple(frozenset(ms[i][v] for i in clique) for v in gv)
+            for clique in all_cliques(range(len(ms)), adjacent)}
+
+
 def is_cone_apexes(facets):
     """Vertices lying in every facet."""
     facets = [set(f) for f in facets]

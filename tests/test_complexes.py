@@ -8,7 +8,7 @@ from dismantle import (DominationError, InputError, SimplicialComplex,
                        star_deletion_order, strong_collapse_core,
                        strong_collapse_onto, verify_collapse_certificate)
 from generators import random_complex
-from oracles import is_cone_apexes
+from oracles import is_cone_apexes, maximal_sets
 
 FULL = SimplicialComplex([("a", "b", "c")])
 BOUNDARY = SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")])
@@ -160,3 +160,26 @@ def test_collapse_core_has_no_dominated_vertices():
         core, cert = strong_collapse_core(k)
         assert dominated_vertices(core) == []
         assert verify_collapse_certificate(k, cert)
+
+
+def test_vertex_operations_equal_the_constructor_on_raw_data():
+    rng = random.Random(63)
+    for _ in range(80):
+        k = random_complex(rng, rng.randint(1, 7))
+        facets = [set(f) for f in k.facets]
+        assert k.vertex_set == set().union(*facets)
+        x = rng.choice(k.vertices)
+        expected = {
+            "delete": SimplicialComplex(maximal_sets(f - {x}
+                                                     for f in facets)),
+            "link": SimplicialComplex(maximal_sets(f - {x} for f in facets
+                                                   if x in f)),
+            "star": SimplicialComplex(f for f in facets if x in f)}
+        for op, want in expected.items():
+            got = getattr(k, op)(x)
+            assert got == want and got.digest() == want.digest()
+            assert got.vertex_set == set(want.vertices)
+        assert set(k.open_star(x)) == {s for s in k.simplices() if x in s}
+    for op in ("delete", "link", "star", "open_star"):
+        with pytest.raises(InputError):
+            getattr(FULL, op)("z")

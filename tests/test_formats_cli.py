@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +135,20 @@ def test_cli_error_and_budget_codes(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["code"] == "budget"
     assert run(["core", "--graph", str(tmp_path / "missing.g")]) == 2
+
+
+def test_cli_cell_budget_exits_3_without_traceback(tmp_path):
+    p3 = _write(tmp_path, "p3.g", path_graph(3))
+    k3 = _write(tmp_path, "k3.g", complete_graph(3))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "dismantle.cli", "--max-cliques", "1",
+         "hom-complex", "--graph", p3, k3],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["code"] == "budget"
 
 
 def test_cli_paper_demo(capsys):

@@ -203,3 +203,27 @@ def test_same_d_homotopy_type_is_an_equivalence_relation():
         for j2, k in list(rel):
             if j2 == j:
                 assert (i, k) in rel
+
+
+def test_induced_and_without_equal_the_constructor_on_raw_data():
+    pool = [0, 1, 2, 7, "a", "b", "10", (0, 1), ("a", 2)]
+    rng = random.Random(61)
+    for _ in range(80):
+        vs = rng.sample(pool, rng.randint(0, len(pool)))
+        edges = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
+                 if rng.random() < 0.4]
+        loops = [v for v in vs if rng.random() < 0.4]
+        g = Graph(vs, edges=edges, loops=loops)
+        keep = {v for v in vs if rng.random() < 0.6}
+        expected = Graph(keep,
+                         edges=[(u, v) for u, v in edges
+                                if u in keep and v in keep],
+                         loops=[v for v in loops if v in keep])
+        for sub in (g.induced(keep), g.without(*(set(vs) - keep))):
+            assert sub == expected and sub.digest() == expected.digest()
+            assert sub.vertices == expected.vertices
+            assert sub.edges() == expected.edges()
+    with pytest.raises(InputError):
+        P3.induced([0, 7])
+    with pytest.raises(InputError):
+        P3.without(7)

@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from dismantle import (Graph, IndexingFunction, InputError, clique_poset,
-                       clique_to_cell_dismantle, complete_graph,
-                       dismantles_onto, enumerate_morphisms,
+from dismantle import (Graph, IndexingFunction, InputError, Poset,
+                       ResourceError, clique_poset, clique_to_cell_dismantle,
+                       complete_graph, dismantles_onto, enumerate_morphisms,
                        fold_induced_hom_dismantle, hom_cells, hom_face_graph,
                        hom_face_poset, hom_fold_embedding, hom_graph,
                        is_indexing_function, is_stiff, path_graph, phi, psi,
                        replay_poset_certificate, sort_key,
                        verify_certificate, bd)
 from generators import random_graph
-from oracles import all_cells
+from oracles import all_cells, clique_route_cells
 
 P3 = path_graph(3)
 K3 = complete_graph(3).relabel({0: "a", 1: "b", 2: "c"})
@@ -126,20 +126,63 @@ def test_hom_face_poset_census():
     assert len(hom_face_poset(point, point)) == 1
 
 
-def test_hom_cells_agree_with_bruteforce_oracle():
-    pairs = [(P3, K3), (K2, K3), (K2, K2)]
+def raw(g):
+    """Vertices and edge list of g, a loop as a pair (v, v)."""
+    return g.vertices, list(g.edges()) + [(v, v) for v in g.loops]
+
+
+def oracle_pairs():
+    """Named pairs, an empty source, pairs without morphisms and seeded
+    random pairs with unlooped, mixed and looped sources, small enough for
+    the oracles (at most 12 morphisms, at most 4096 value-set products)."""
+    point = Graph([0], loops=[0])
+    pairs = [(P3, K3), (K2, K3), (K2, K2), (point, point),
+             (Graph(), K3), (Graph(), Graph()),
+             (point, K3), (K3, K2), (P3, Graph())]
     rng = random.Random(42)
     for _ in range(6):
         pairs.append((random_graph(rng, rng.randint(1, 3)),
                       random_graph(rng, rng.randint(1, 3))))
-    for g, h in pairs:
-        oracle = all_cells(g.vertices,
-                           list(g.edges()) + [(v, v) for v in g.loops],
-                           h.vertices,
-                           list(h.edges()) + [(v, v) for v in h.loops])
-        mine = {tuple(frozenset(ws) for _, ws in c.assignment)
-                for c in hom_cells(g, h)}
-        assert mine == oracle
+    while len(pairs) < 45:
+        g = random_graph(rng, rng.randint(1, 4),
+                         loop_p=rng.choice([0.0, 0.4, 1.0]))
+        h = random_graph(rng, rng.randint(2, 4), p=0.6, loop_p=0.6)
+        if ((2 ** len(h) - 1) ** len(g) <= 4096
+                and len(enumerate_morphisms(g, h)) <= 12):
+            pairs.append((g, h))
+    return pairs
+
+
+def test_hom_cells_agree_with_bruteforce_oracle():
+    # the direct search, the clique route and the raw product of value sets
+    for g, h in oracle_pairs():
+        cells = hom_cells(g, h)
+        assert [c.name for c in cells] == sorted(c.name for c in cells)
+        mine = [tuple(frozenset(ws) for _, ws in c.assignment)
+                for c in cells]
+        assert len(mine) == len(set(mine))
+        assert set(mine) == clique_route_cells(*raw(g), *raw(h))
+        assert set(mine) == all_cells(*raw(g), *raw(h))
+
+
+def test_hom_face_poset_equals_pairwise_inclusion_order():
+    for g, h in oracle_pairs():
+        cells = hom_cells(g, h)
+        pairwise = Poset([c.name for c in cells],
+                         [(c.name, d.name) for c in cells for d in cells
+                          if c != d and c <= d])
+        p = hom_face_poset(g, h)
+        assert p == pairwise and p.digest() == pairwise.digest()
+
+
+def test_hom_cell_budgets():
+    # P3 -> K3 tries 7 + 12 + 30 value sets and finds 30 cells
+    assert len(hom_cells(P3, K3, max_extensions=49, max_cliques=30)) == 30
+    for enumerate_cells in (hom_cells, hom_face_poset):
+        for budget in ({"max_extensions": 48}, {"max_cliques": 29},
+                       {"max_extensions": 1}, {"max_cliques": 1}):
+            with pytest.raises(ResourceError):
+                enumerate_cells(P3, K3, **budget)
 
 
 def test_hom_face_graph():

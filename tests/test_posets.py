@@ -9,7 +9,7 @@ from dismantle import (InputError, MonotoneMap, Poset, PreconditionError,
                        replay_poset_certificate, verify_poset_certificate,
                        weakly_dismantlable_elements, weakly_dominates)
 from generators import random_poset
-from oracles import all_labeled_posets
+from oracles import all_labeled_posets, transitive_closure
 
 DIAMOND = Poset("abcd", [("d", "b"), ("d", "c"), ("b", "a"), ("c", "a")])
 CHAIN3 = Poset(range(3), [(0, 1), (1, 2)])
@@ -167,3 +167,24 @@ def test_weak_deletion_preserves_strict_core_class():
         core1, _ = poset_core(p, "strict")
         core2, _ = poset_core(p.without(x), "strict")
         assert are_isomorphic(comp(core1), comp(core2)) is not None
+
+
+def test_restrict_and_without_equal_the_constructor_on_raw_data():
+    rng = random.Random(62)
+    for _ in range(80):
+        n = rng.randint(0, 8)
+        lt = [(i, j) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.3]
+        p = Poset(range(n), lt)
+        keep = {x for x in range(n) if rng.random() < 0.6}
+        expected = Poset(keep, [(x, y) for x, y in
+                                transitive_closure(range(n), lt)
+                                if x in keep and y in keep])
+        for sub in (p.restrict(keep), p.without(*(set(range(n)) - keep))):
+            assert sub == expected and sub.digest() == expected.digest()
+            assert all(sub.down_set(x) == expected.down_set(x)
+                       for x in expected.elements)
+    with pytest.raises(InputError):
+        CHAIN3.restrict([0, 7])
+    with pytest.raises(InputError):
+        CHAIN3.without(7)
