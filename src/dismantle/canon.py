@@ -33,7 +33,7 @@ def label(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):
-        if not v or any(ch.isspace() for ch in v):
+        if v.split() != [v]:  # empty, or holds whitespace
             raise ValueError(f"id not printable as a token: {v!r}")
         return v
     if isinstance(v, tuple):

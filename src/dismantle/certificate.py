@@ -8,8 +8,15 @@ and checks the domination precondition in every residual stage.
 One engine serves all three categories: the greedy search for a core or a
 dismantling onto a subobject, the replay, and the completion of a bare
 deletion order into a certificate. Each category supplies a ``_Rules``
-value saying what its elements, witnesses and deletions are; weak poset
-mode uses the graph rules on the comparability graph.
+value saying what its elements, witnesses and deletions are, and which
+elements a deletion can affect; weak poset mode uses the graph rules on
+the comparability graph.
+
+The greedy search keeps the witness list of every candidate. A deletion
+can only change the witnesses of the elements it affects (the neighbours
+of a folded vertex, the elements comparable to a beat point, the vertices
+of the facets through a collapsed vertex); those lists are recomputed and
+every other list just loses the deleted element.
 """
 
 from __future__ import annotations
@@ -120,6 +127,8 @@ class _Rules(NamedTuple):
     witnesses: Callable        # (obj, x) -> witnesses of x, smallest first
     holds: Callable            # (obj, x, a) -> may x go with witness a
     delete: Callable           # (obj, x) -> obj without x
+    affected: Callable         # (obj, x) -> elements whose witnesses may
+                               # change, beyond losing x, when x goes
     lift: Callable = lambda start: start
     lower: Callable = lambda start, residual: residual
 
@@ -135,21 +144,28 @@ def _greedy(rules: _Rules, start, rng=None, keep=None):
     or ``rng.choice`` over all pairs. Returns (residual, certificate); the
     certificate is None when onto gets stuck before reaching keep."""
     cur = rules.lift(start)
+    xs = [x for x in rules.elements(cur) if keep is None or x not in keep]
+    ws = {x: rules.witnesses(cur, x) for x in xs}
     steps = []
-    while True:
-        xs = rules.elements(cur)
-        if keep is not None:
-            xs = [x for x in xs if x not in keep]
+    while xs:
         if rng is None:
-            pair = next(((x, ws[0]) for x in xs
-                         if (ws := rules.witnesses(cur, x))), None)
+            pair = next(((x, ws[x][0]) for x in xs if ws[x]), None)
         else:
-            pairs = _pairs(rules, cur, xs)
+            pairs = [(x, a) for x in xs for a in ws[x]]
             pair = rng.choice(pairs) if pairs else None
         if pair is None:
             break
+        x = pair[0]
         steps.append(pair)
-        cur = rules.delete(cur, pair[0])
+        touched = rules.affected(cur, x)
+        cur = rules.delete(cur, x)
+        xs.remove(x)
+        del ws[x]
+        for y in xs:
+            if y in touched:
+                ws[y] = rules.witnesses(cur, y)
+            elif x in ws[y]:
+                ws[y] = [a for a in ws[y] if a != x]
     residual = rules.lower(start, cur)
     if keep is not None and xs:  # onto got stuck
         return residual, None

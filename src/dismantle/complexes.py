@@ -7,6 +7,7 @@ vertex is the apex), the empty complex does not.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from .canon import digest_text, label, sort_key, sorted_ids
@@ -20,6 +21,10 @@ def _canon_simplex(s):
     if len(set(t)) != len(t):
         raise InputError(f"repeated vertex in simplex: {s!r}")
     return t
+
+
+def _simplex_order(s):
+    return len(s), sort_key(s)
 
 
 class SimplicialComplex:
@@ -39,8 +44,7 @@ class SimplicialComplex:
                  "_digest")
 
     def __init__(self, facets=()):
-        fs = sorted({_canon_simplex(f) for f in facets},
-                    key=lambda f: (len(f), sort_key(f)))
+        fs = sorted({_canon_simplex(f) for f in facets}, key=_simplex_order)
         for f in fs:
             if not f:
                 raise ValidationError("empty facet")
@@ -94,8 +98,7 @@ class SimplicialComplex:
             for f in self._facets:
                 for r in range(1, len(f) + 1):
                     acc.update(itertools.combinations(f, r))
-            self._simplices = tuple(
-                sorted(acc, key=lambda s: (len(s), sort_key(s))))
+            self._simplices = tuple(sorted(acc, key=_simplex_order))
         return self._simplices
 
     def has_simplex(self, s) -> bool:
@@ -118,11 +121,29 @@ class SimplicialComplex:
         return SimplicialComplex(f for f in self._facets if x in f)
 
     def delete(self, x) -> "SimplicialComplex":
-        """The complex of simplices avoiding x."""
+        """The complex of simplices avoiding x.
+
+        Its facets are the facets avoiding x, and each facet through x
+        minus x unless that is empty or lies in a facet avoiding x. These
+        are an antichain already, so they are cut from this complex's
+        sorted facets and not checked again."""
         self._require_vertex(x)
-        faces = [f if x not in f else tuple(v for v in f if v != x)
-                 for f in self._facets]
-        return SimplicialComplex.from_simplices(f for f in faces if f)
+        kept = [f for f in self._facets if x not in f]
+        facets = list(kept)
+        for f in self._facets:
+            if x in f and len(f) > 1:
+                cut = tuple(v for v in f if v != x)
+                cut_set = set(cut)
+                if not any(len(g) > len(cut) and cut_set.issubset(g)
+                           for g in kept):
+                    bisect.insort(facets, cut, key=_simplex_order)
+        sub = SimplicialComplex.__new__(SimplicialComplex)
+        sub._facets = tuple(facets)
+        sub._vertices = tuple(v for v in self._vertices if v != x)
+        sub._vertex_set = self._vertex_set - {x}
+        sub._simplices = None
+        sub._digest = None
+        return sub
 
     def restrict(self, keep) -> "SimplicialComplex":
         keep = frozenset(keep)
@@ -168,14 +189,24 @@ class SimplicialComplex:
 # ---------------------------------------------------------------------------
 # domination and strong collapses
 
+def _apexes(k: SimplicialComplex, x):
+    """The vertices other than x lying in every facet through x, in
+    order: the cone apexes of the link of x, found without building it."""
+    k._require_vertex(x)
+    through = [f for f in k.facets if x in f]
+    common = set(through[0]).intersection(*through[1:])
+    return [v for v in through[0] if v != x and v in common]
+
+
 _RULES = _Rules(
     "complex", "strict", "vertex",
     "link of {x!r} is not a cone with apex {a!r}",
     elements=lambda k: k.vertices,
     has=lambda k, x: x in k.vertex_set,
-    witnesses=lambda k, x: k.link(x).cone_apexes(),
-    holds=lambda k, x, a: a in k.link(x).cone_apexes(),
-    delete=lambda k, x: k.delete(x))
+    witnesses=_apexes,
+    holds=lambda k, x, a: a in _apexes(k, x),
+    delete=lambda k, x: k.delete(x),
+    affected=lambda k, x: {v for f in k.facets if x in f for v in f})
 
 
 def dominated_vertices(k: SimplicialComplex):

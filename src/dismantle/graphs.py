@@ -11,6 +11,7 @@ other vertex.
 from __future__ import annotations
 
 import re
+from itertools import filterfalse
 
 from .canon import digest_text, label, sort_key, sorted_ids
 from .certificate import (DismantlingCertificate, _derive, _greedy, _pairs,
@@ -19,6 +20,19 @@ from .errors import DominationError, InputError, ResourceError
 
 DEFAULT_ISO_BUDGET = 10**6
 DEFAULT_CLIQUE_BUDGET = 10**6
+
+
+def _cut(sets, gone, inverse):
+    """Copy of a map from elements to sets of elements without the keys in
+    gone and with gone taken out of every set. Only the sets of the
+    elements in inverse[g], for g in gone, can hold g; the other sets are
+    shared, not copied."""
+    out = dict(sets)
+    for g in gone:
+        del out[g]
+    for y in set().union(*(inverse[g] for g in gone)).difference(gone):
+        out[y] = out[y] - gone
+    return out
 
 
 class Graph:
@@ -34,7 +48,7 @@ class Graph:
     (0, 1)
     """
 
-    __slots__ = ("_vertices", "_adj", "_digest")
+    __slots__ = ("_vertices", "_adj", "_edges", "_digest")
 
     def __init__(self, vertices=(), edges=(), loops=()):
         adj = {}
@@ -47,6 +61,7 @@ class Graph:
             adj.setdefault(v, set()).add(v)
         self._vertices = sorted_ids(adj)
         self._adj = {v: frozenset(adj[v]) for v in self._vertices}
+        self._edges = None
         self._digest = None
 
     @property
@@ -97,30 +112,35 @@ class Graph:
 
     def edges(self):
         """Non-loop edges as sorted pairs, deterministically ordered."""
-        out = []
-        for u in self._vertices:
-            for v in self._adj[u]:
-                if u != v and sort_key(u) < sort_key(v):
-                    out.append((u, v))
-        out.sort(key=lambda e: (sort_key(e[0]), sort_key(e[1])))
-        return out
+        if self._edges is None:
+            out = []
+            for u in self._vertices:
+                for v in self._adj[u]:
+                    if u != v and sort_key(u) < sort_key(v):
+                        out.append((u, v))
+            out.sort(key=lambda e: (sort_key(e[0]), sort_key(e[1])))
+            self._edges = tuple(out)
+        return list(self._edges)
 
     def induced(self, keep) -> "Graph":
-        """The induced subgraph on keep, cut from this graph's sorted
-        vertices and neighborhoods without rebuilding them."""
+        """The induced subgraph on keep."""
         keep = frozenset(keep)
-        for v in keep:
-            self._require(v)
-        sub = Graph.__new__(Graph)
-        sub._vertices = tuple(v for v in self._vertices if v in keep)
-        sub._adj = {v: self._adj[v] & keep for v in sub._vertices}
-        sub._digest = None
-        return sub
+        self._require(*keep)
+        return self._drop(self.vertex_set - keep)
 
     def without(self, *xs) -> "Graph":
-        for x in xs:
-            self._require(x)
-        return self.induced(self.vertex_set - set(xs))
+        self._require(*xs)
+        return self._drop(frozenset(xs))
+
+    def _drop(self, gone) -> "Graph":
+        """This graph without the vertices in gone, cut from its sorted
+        vertices and neighborhoods without rebuilding them."""
+        sub = Graph.__new__(Graph)
+        sub._vertices = tuple(filterfalse(gone.__contains__, self._vertices))
+        sub._adj = _cut(self._adj, gone, self._adj)
+        sub._edges = None
+        sub._digest = None
+        return sub
 
     def relabel(self, mapping) -> "Graph":
         """Rename vertices along an injective map (identity where omitted)."""
@@ -222,7 +242,11 @@ def dominates(g: Graph, a, x) -> bool:
 def _witnesses(g: Graph, x):
     adj = g._adj
     nx = adj[x]
-    return [a for a in g._vertices if a != x and nx <= adj[a]]
+    if not nx:
+        return [a for a in g._vertices if a != x]
+    # a witness is adjacent to every neighbour of x, so to any one of them
+    ws = [a for a in adj[next(iter(nx))] if a != x and nx <= adj[a]]
+    return sorted(ws, key=sort_key) if len(ws) > 1 else ws
 
 
 _RULES = _Rules(
@@ -231,7 +255,8 @@ _RULES = _Rules(
     has=lambda g, x: x in g,
     witnesses=_witnesses,
     holds=lambda g, x, a: g._adj[x] <= g._adj[a],
-    delete=lambda g, x: g.without(x))
+    delete=lambda g, x: g.without(x),
+    affected=lambda g, x: g._adj[x])
 
 
 def find_dominated(g: Graph):

@@ -63,9 +63,14 @@ class Morphism:
     @property
     def name(self) -> str:
         """Canonical JSON form, also the vertex id inside morphism graphs."""
-        return json.dumps(
-            {_key_for_name(v): _value_for_name(w) for v, w in self.assignment},
-            separators=(",", ":"))
+        # memoised beside the frozen fields, which equality and hashing use
+        name = self.__dict__.get("_name")
+        if name is None:
+            name = self.__dict__["_name"] = json.dumps(
+                {_key_for_name(v): _value_for_name(w)
+                 for v, w in self.assignment},
+                separators=(",", ":"))
+        return name
 
     def __repr__(self):
         return f"Morphism({self.name})"

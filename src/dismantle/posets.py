@@ -10,12 +10,14 @@ are the classical beat-point deletions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .canon import digest_text, label, sort_key, sorted_ids
 from .certificate import (DismantlingCertificate, _derive, _greedy, _pairs,
                           _replay, _Rules)
 from .errors import InputError, PreconditionError, ValidationError
 from .graphs import _RULES as _GRAPH_RULES
+from .graphs import _cut
 
 
 class Poset:
@@ -102,19 +104,26 @@ class Poset:
         return self._below[x]
 
     def least(self, subset):
-        """The least element of a subset, or None."""
-        subset = list(subset)
-        for x in subset:
-            if all(self.le(x, y) for y in subset):
-                return x
-        return None
+        """The least element of a subset, or None. A finite subset has a
+        least element exactly when it has a single minimal one."""
+        return self._single(subset, self._below)
 
     def greatest(self, subset):
-        subset = list(subset)
-        for x in subset:
-            if all(self.le(y, x) for y in subset):
-                return x
-        return None
+        return self._single(subset, self._above)
+
+    def _single(self, subset, strictly):
+        """The one element a of subset whose strictly[a] misses subset (the
+        single minimal element when strictly maps to down-sets), or None
+        when there is not exactly one."""
+        subset = frozenset(subset)
+        self._require(*subset)
+        found = None
+        for a in subset:
+            if strictly[a].isdisjoint(subset):
+                if found is not None:
+                    return None
+                found = a
+        return found
 
     def minimal(self, subset=None):
         pool = self._elements if subset is None else sorted_ids(subset)
@@ -141,23 +150,25 @@ class Poset:
         return out
 
     def restrict(self, keep) -> "Poset":
-        """The subposet on keep. A strict order restricted to a subset is
-        still transitively closed, so its up- and down-sets are cut, not
-        recomputed."""
+        """The subposet on keep."""
         keep = frozenset(keep)
-        for x in keep:
-            self._require(x)
-        sub = Poset.__new__(Poset)
-        sub._elements = tuple(x for x in self._elements if x in keep)
-        sub._above = {x: self._above[x] & keep for x in sub._elements}
-        sub._below = {x: self._below[x] & keep for x in sub._elements}
-        sub._digest = None
-        return sub
+        self._require(*keep)
+        return self._drop(self.element_set - keep)
 
     def without(self, *xs) -> "Poset":
-        for x in xs:
-            self._require(x)
-        return self.restrict(self.element_set - set(xs))
+        self._require(*xs)
+        return self._drop(frozenset(xs))
+
+    def _drop(self, gone) -> "Poset":
+        """This poset without the elements in gone. A strict order
+        restricted to a subset is still transitively closed, so its up- and
+        down-sets are cut, not recomputed."""
+        sub = Poset.__new__(Poset)
+        sub._elements = tuple(filterfalse(gone.__contains__, self._elements))
+        sub._above = _cut(self._above, gone, self._below)
+        sub._below = _cut(self._below, gone, self._above)
+        sub._digest = None
+        return sub
 
     def is_monotone(self, mapping) -> bool:
         return all(self.le(mapping[x], mapping[y])
@@ -236,7 +247,8 @@ _STRICT_RULES = _Rules(
     witnesses=_strict_witnesses,
     holds=lambda p, x, a: (p.least(p.up_set(x)) == a
                            or p.greatest(p.down_set(x)) == a),
-    delete=lambda p, x: p.without(x))
+    delete=lambda p, x: p.without(x),
+    affected=lambda p, x: p.up_set(x) | p.down_set(x))
 
 # a weak deletion is a domination in the comparability graph
 _WEAK_RULES = _GRAPH_RULES._replace(

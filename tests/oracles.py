@@ -8,6 +8,21 @@ independent.
 import itertools
 
 
+def canonical(v):
+    """Order key for the ids the tests use: ints, then strings, then
+    tuples, each kind by Python's own order (tuple ids hold the same kinds
+    in the same positions)."""
+    return (2 if isinstance(v, tuple) else 1 if isinstance(v, str) else 0, v)
+
+
+def ascending(ids):
+    return sorted(ids, key=canonical)
+
+
+def ascending_pairs(pairs):
+    return sorted(pairs, key=lambda p: (canonical(p[0]), canonical(p[1])))
+
+
 def neighborhoods(vertices, edges):
     """Open neighborhoods from a raw edge list; a pair (v, v) is a loop."""
     nb = {v: set() for v in vertices}
@@ -20,8 +35,8 @@ def neighborhoods(vertices, edges):
 def dominated_pairs(vertices, edges):
     """All (x, a) ordered pairs with N(x) a subset of N(a), a != x."""
     nb = neighborhoods(vertices, edges)
-    return sorted((x, a) for x in vertices for a in vertices
-                  if a != x and nb[x] <= nb[a])
+    return ascending_pairs((x, a) for x in vertices for a in vertices
+                           if a != x and nb[x] <= nb[a])
 
 
 def all_cliques(vertices, edges):
@@ -155,7 +170,7 @@ def maximal_sets(sets):
 # the matching restrict function cuts the structure down to fewer elements.
 
 def graph_pairs(elements, edges):
-    return dominated_pairs(sorted(elements), edges)
+    return dominated_pairs(elements, edges)
 
 
 def restrict_edges(elements, edges):
@@ -166,7 +181,7 @@ def strict_poset_pairs(elements, rel):
     """The least element of the up-set of x, else the greatest of its
     down-set (at most one witness per x)."""
     out = []
-    for x in sorted(elements):
+    for x in ascending(elements):
         up = [y for y in elements if (x, y) in rel]
         down = [y for y in elements if (y, x) in rel]
         least = [a for a in up if all((a, y) in rel for y in up if y != a)]
@@ -179,12 +194,14 @@ def strict_poset_pairs(elements, rel):
 
 def weak_poset_pairs(elements, rel):
     """a weakly dominates x: a is comparable to x and to everything
-    comparable to x."""
-    def comparable(u, v):
-        return u == v or (u, v) in rel or (v, u) in rel
-    return [(x, a) for x in sorted(elements) for a in sorted(elements)
-            if a != x and comparable(a, x)
-            and all(comparable(a, y) for y in elements if comparable(x, y))]
+    comparable to x (x itself included, so the first condition is part of
+    the second)."""
+    near = {x: {y for y in elements
+                if y == x or (x, y) in rel or (y, x) in rel}
+            for x in elements}
+    order = ascending(elements)
+    return [(x, a) for x in order for a in order
+            if a != x and near[x] <= near[a]]
 
 
 def restrict_order(elements, rel):
@@ -194,8 +211,8 @@ def restrict_order(elements, rel):
 def complex_pairs(elements, facets):
     """x is dominated by every apex of its link, the family of facets
     through x with x removed."""
-    return [(x, a) for x in sorted(elements)
-            for a in sorted(is_cone_apexes(
+    return [(x, a) for x in ascending(elements)
+            for a in ascending(is_cone_apexes(
                 [set(f) - {x} for f in facets if x in f]))]
 
 

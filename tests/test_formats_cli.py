@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from dismantle import (Graph, ParseError, Poset, SimplicialComplex,
-                       ValidationError, complete_graph, cycle_graph,
+                       ValidationError, complete_graph, cycle_graph, label,
                        parse_complex, parse_graph, parse_poset, path_graph)
 from dismantle.cli import run
 from generators import random_complex, random_graph, random_poset
@@ -40,6 +41,17 @@ def test_parse_complex():
     assert k == SimplicialComplex([("a", "b"), ("b", "c")])
     with pytest.raises(ValidationError):
         parse_complex("f a b c\nf a b\n")
+
+
+def test_label_rejects_empty_ids_and_every_whitespace_character():
+    chars = [chr(code) for code in range(sys.maxunicode + 1)]
+    printable = "".join(itertools.filterfalse(str.isspace, chars))
+    assert label(printable) == printable
+    spaces = list(filter(str.isspace, chars))
+    for bad in ["", ("a", "b\tc")] + spaces + [f"a{c}b" for c in spaces]:
+        with pytest.raises(ValueError):
+            label(bad)
+    assert label(("a", ("b", 7))) == "{a,{b,7}}"
 
 
 def test_round_trip_all_categories():

@@ -214,6 +214,8 @@ def test_induced_and_without_equal_the_constructor_on_raw_data():
                  if rng.random() < 0.4]
         loops = [v for v in vs if rng.random() < 0.4]
         g = Graph(vs, edges=edges, loops=loops)
+        g.edges().clear()  # a caller's copy; fills the cache of g
+        assert g.edges() == Graph(vs, edges=edges, loops=loops).edges()
         keep = {v for v in vs if rng.random() < 0.6}
         expected = Graph(keep,
                          edges=[(u, v) for u, v in edges

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dismantle import (CertificateError, DismantlingCertificate, Graph,
-                       InputError, ResourceError, are_isomorphic,
+                       InputError, Morphism, ResourceError, are_isomorphic,
                        complete_graph, compose, cycle_graph, dismantle_core,
                        dismantles_onto, enumerate_morphisms, find_dominated,
                        hom_graph, homotopic, identity_morphism, is_stiff,
@@ -36,6 +36,10 @@ def by_letter():
 def test_twelve_morphisms_exact_table():
     ms = enumerate_morphisms(P3, K3)
     assert len(ms) == 12
+    for m in ms:  # a memoised name leaves equality and hashing alone
+        twin = Morphism(m.source_digest, m.target_digest, m.assignment)
+        assert m.name == m.name == twin.name
+        assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
     got = {tuple(m.mapping[i] for i in range(3)) for m in ms}
     assert got == {tuple(word) for word in TABLE.values()}
 
